@@ -9,10 +9,14 @@
 // nothing in the simulator reads wall-clock time. Cycles are converted to virtual
 // time through Cpu::CyclesToDuration at the configured clock rate.
 //
-// Thread-safety: none — the whole simulation is single-(host-)threaded by design,
-// which is what makes runs bit-for-bit deterministic. Multi-core machines are
-// simulated by interleaving per-core dispatch events on this one event queue, not by
-// host threads. Do not touch a Simulator from more than one host thread.
+// Thread-safety: the event loop runs on one host thread, the coordinator, and only
+// the coordinator touches the event queue and the clock (ScheduleAt/ScheduleAfter/
+// Cancel/Resched/Step/PopExpected/RunUntil) — which is what makes runs bit-for-bit
+// deterministic. Multi-core machines interleave per-core dispatch tick events on this
+// one queue. With MachineConfig::host_threads > 1 the Machine fans gated dispatch
+// rounds across host threads (sim/parallel.h); inside a round a worker may read Now()
+// and charge the Cpu of the core it owns, but schedules no event and stages its trace
+// records into a per-core lane that the coordinator merges after the barrier.
 #ifndef REALRATE_SIM_SIMULATOR_H_
 #define REALRATE_SIM_SIMULATOR_H_
 
@@ -78,7 +82,7 @@ class Simulator {
   void RunFor(Duration d) { RunUntil(now_ + d); }
 
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() { return events_.PendingCount(); }
+  size_t pending_events() const { return events_.PendingCount(); }
 
  private:
   TimePoint now_ = TimePoint::Origin();

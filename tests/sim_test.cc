@@ -1,9 +1,13 @@
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace realrate {
 namespace {
@@ -127,6 +131,212 @@ TEST(EventQueueTest, ReschedOfFiredIdStillSchedules) {
   EXPECT_TRUE(second);
 }
 
+TEST(EventQueueTest, CancelOfInvalidIdLeavesFreeSlotsAlone) {
+  // Regression: a free slot holds kInvalidEventId, so a naive slot compare matched
+  // Cancel(kInvalidEventId) — the Machine's "no clock armed" Resched — and freed the
+  // slot a second time.
+  EventQueue q;
+  q.Push(At(1), [] {});
+  q.Pop();
+  EXPECT_FALSE(q.Cancel(kInvalidEventId));
+  EXPECT_TRUE(q.Empty());
+  q.Resched(kInvalidEventId, At(2), [] {});
+  q.Resched(kInvalidEventId, At(3), [] {});
+  EXPECT_EQ(q.PendingCount(), 2u);
+  EXPECT_EQ(q.Pop().when, At(2));
+  EXPECT_EQ(q.Pop().when, At(3));
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, StaleIdDoesNotCancelItsSlotsNewOccupant) {
+  // At most one event is ever pending, so each push lands in the slot its
+  // predecessor freed: the old ids must not reach the new occupant.
+  EventQueue q;
+  const EventId fired = q.Push(At(1), [] {});
+  q.Pop();
+  bool second_ran = false;
+  const EventId second = q.Push(At(2), [&] { second_ran = true; });
+  EXPECT_FALSE(q.Cancel(fired));
+  EXPECT_EQ(q.PendingCount(), 1u);
+  EXPECT_EQ(q.PeekId(), second);
+
+  EXPECT_TRUE(q.Cancel(second));
+  bool third_ran = false;
+  const EventId third = q.Push(At(3), [&] { third_ran = true; });
+  EXPECT_FALSE(q.Cancel(second));
+  EXPECT_FALSE(q.Cancel(fired));
+  EXPECT_EQ(q.PendingCount(), 1u);
+  auto popped = q.Pop();
+  EXPECT_EQ(popped.id, third);
+  EXPECT_EQ(popped.when, At(3));
+  popped.fn();
+  EXPECT_TRUE(third_ran);
+  EXPECT_FALSE(second_ran);
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, EqualTimesAreFifoAcrossReusedSlots) {
+  // Free slots in a scrambled order, then push a same-time batch into them: the
+  // batch must still pop in insertion order, whatever slots it landed in.
+  EventQueue q;
+  std::vector<EventId> early;
+  for (int i = 0; i < 8; ++i) {
+    early.push_back(q.Push(At(1 + i), [] {}));
+  }
+  for (int i : {5, 1, 7, 3}) {
+    EXPECT_TRUE(q.Cancel(early[static_cast<size_t>(i)]));
+  }
+  q.Pop();  // Fires early[0].
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    q.Push(At(50), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(q.PendingCount(), 9u);
+  while (!q.Empty()) {
+    auto popped = q.Pop();
+    if (popped.when == At(50)) {
+      popped.fn();
+    }
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueueTest, PeekIdSkipsCancelledHead) {
+  EventQueue q;
+  const EventId head = q.Push(At(10), [] {});
+  const EventId next = q.Push(At(10), [] {});
+  EXPECT_EQ(q.PeekId(), head);
+  q.Cancel(head);
+  EXPECT_EQ(q.PeekId(), next);
+  EXPECT_EQ(q.PeekTime(), At(10));
+}
+
+TEST(EventQueueTest, ReschedStormKeepsOnePendingEvent) {
+  // A periodic clock moved 100k times, alternately later and earlier: every retired
+  // entry stays buried in the heap, but only the newest one is pending or fires.
+  EventQueue q;
+  int fires = 0;
+  EventId clock = kInvalidEventId;
+  for (int i = 0; i < 100'000; ++i) {
+    const int64_t ms = (i % 2 == 0) ? 1'000 + i : 1'000 - (i % 997);
+    clock = q.Resched(clock, At(ms), [&fires] { ++fires; });
+    ASSERT_EQ(q.PendingCount(), 1u);
+  }
+  EXPECT_EQ(q.PeekId(), clock);
+  q.Pop().fn();
+  EXPECT_EQ(fires, 1);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_FALSE(q.Cancel(clock));
+}
+
+// Reference model for the differential test: the obvious ordered map keyed by
+// (when, issue order) plus a map of live ids. Slow and simple on purpose.
+class ReferenceQueue {
+ public:
+  struct Head {
+    int64_t when_ns;
+    EventId id;
+    int tag;
+  };
+
+  void Push(EventId id, int64_t when_ns, int tag) {
+    const Key key{when_ns, next_seq_++};
+    order_.emplace(key, Live{id, tag});
+    live_.emplace(id, key);
+  }
+  bool Cancel(EventId id) {
+    auto it = live_.find(id);
+    if (it == live_.end()) {
+      return false;
+    }
+    order_.erase(it->second);
+    live_.erase(it);
+    return true;
+  }
+  size_t size() const { return live_.size(); }
+  Head Peek() const {
+    const auto& [key, live] = *order_.begin();
+    return Head{key.first, live.id, live.tag};
+  }
+  Head Pop() {
+    const Head head = Peek();
+    live_.erase(head.id);
+    order_.erase(order_.begin());
+    return head;
+  }
+
+ private:
+  using Key = std::pair<int64_t, uint64_t>;
+  struct Live {
+    EventId id;
+    int tag;
+  };
+  std::map<Key, Live> order_;
+  std::map<EventId, Key> live_;
+  uint64_t next_seq_ = 0;
+};
+
+TEST(EventQueueTest, MatchesReferenceModelUnderRandomOps) {
+  // ~100k mixed operations over a narrow time window (many equal timestamps),
+  // cancelling and rescheduling ids drawn from everything ever issued — live,
+  // fired, cancelled, and ids whose slot has been reused since.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    ReferenceQueue ref;
+    std::vector<EventId> issued = {kInvalidEventId};
+    int fired_tag = -1;
+    int next_tag = 0;
+    const auto push = [&](EventId old_id, bool resched) {
+      const int64_t when_ns = static_cast<int64_t>(rng.NextBounded(32));
+      const int tag = next_tag++;
+      EventQueue::Callback fn = [&fired_tag, tag] { fired_tag = tag; };
+      EventId id;
+      if (resched) {
+        ref.Cancel(old_id);
+        id = q.Resched(old_id, TimePoint::FromNanos(when_ns), std::move(fn));
+      } else {
+        id = q.Push(TimePoint::FromNanos(when_ns), std::move(fn));
+      }
+      ASSERT_NE(id, kInvalidEventId);
+      ref.Push(id, when_ns, tag);
+      issued.push_back(id);
+    };
+    const auto any_issued = [&] { return issued[rng.NextBounded(issued.size())]; };
+    for (int op = 0; op < 35'000; ++op) {
+      const uint64_t pick = rng.NextBounded(100);
+      if (pick < 35) {
+        push(kInvalidEventId, /*resched=*/false);
+      } else if (pick < 55) {
+        const EventId id = any_issued();
+        ASSERT_EQ(q.Cancel(id), ref.Cancel(id)) << "op " << op;
+      } else if (pick < 70) {
+        push(any_issued(), /*resched=*/true);
+      } else if (ref.size() == 0) {
+        ASSERT_TRUE(q.Empty()) << "op " << op;
+      } else if (pick < 77) {
+        ASSERT_EQ(q.PeekTime().nanos(), ref.Peek().when_ns) << "op " << op;
+      } else if (pick < 84) {
+        ASSERT_EQ(q.PeekId(), ref.Peek().id) << "op " << op;
+      } else {
+        const ReferenceQueue::Head want = ref.Pop();
+        auto got = q.Pop();
+        ASSERT_EQ(got.id, want.id) << "op " << op;
+        ASSERT_EQ(got.when.nanos(), want.when_ns) << "op " << op;
+        got.fn();
+        ASSERT_EQ(fired_tag, want.tag) << "op " << op;
+      }
+      ASSERT_EQ(q.PendingCount(), ref.size()) << "op " << op;
+      ASSERT_EQ(q.Empty(), ref.size() == 0) << "op " << op;
+    }
+    while (ref.size() > 0) {
+      ASSERT_EQ(q.Pop().id, ref.Pop().id);
+    }
+    EXPECT_TRUE(q.Empty());
+  }
+}
+
 TEST(SimulatorTest, ClockAdvancesToEventTimes) {
   Simulator sim;
   std::vector<int64_t> seen;
@@ -145,7 +355,8 @@ TEST(SimulatorTest, RunUntilStopsAtBoundary) {
   sim.ScheduleAt(At(50), [&] { late_ran = true; });
   sim.RunUntil(At(40));
   EXPECT_FALSE(late_ran);
-  EXPECT_EQ(sim.pending_events(), 1u);
+  const Simulator& observer = sim;
+  EXPECT_EQ(observer.pending_events(), 1u);
   sim.RunUntil(At(60));
   EXPECT_TRUE(late_ran);
 }
@@ -162,6 +373,20 @@ TEST(SimulatorTest, NestedSchedulingWorks) {
   sim.RunFor(Duration::Millis(10));
   EXPECT_EQ(fires, 5);
   EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+TEST(SimulatorTest, PopExpectedSkipsCancelledHead) {
+  Simulator sim;
+  bool ran = false;
+  const EventId head = sim.ScheduleAt(At(10), [&] { ran = true; });
+  const EventId next = sim.ScheduleAt(At(10), [&] { ran = true; });
+  sim.Cancel(head);
+  EXPECT_FALSE(sim.PopExpected(head, At(10)));
+  EXPECT_TRUE(sim.PopExpected(next, At(10)));
+  EXPECT_FALSE(ran);  // Consumed, not run.
+  EXPECT_EQ(sim.Now(), At(10));
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(SimulatorTest, StepReturnsFalseWhenIdle) {
